@@ -10,7 +10,6 @@
 #include "bench/bench_util.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/onion.h"
-#include "src/crypto/secret_cache.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/x25519.h"
 #include "src/crypto/x25519_precomp.h"
@@ -95,9 +94,9 @@ void BM_OnionUnwrapLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_OnionUnwrapLayer);
 
-// --- Batch-vs-scalar: the primitives behind MixServer's batched pass -------
-// Each scalar benchmark above has a batched counterpart here; the deltas are
-// exactly what the batched pass saves per onion (see docs/PERFORMANCE.md).
+// --- Batch-vs-scalar: the primitives behind MixServer's block pass ---------
+// Each scalar benchmark above has a block-pass counterpart here; the deltas
+// are what the block pass saves per onion (see docs/PERFORMANCE.md).
 
 // Arbitrary-point comb table vs the Montgomery ladder (same multiplication).
 void BM_X25519PrecompMult(benchmark::State& state) {
@@ -112,24 +111,23 @@ void BM_X25519PrecompMult(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519PrecompMult);
 
-// Unwrap with a warm SecretCache + caller scratch (the steady-state batched
-// pass) vs BM_OnionUnwrapLayer's per-onion DH + allocation.
-void BM_OnionUnwrapLayerCached(benchmark::State& state) {
+// The production per-onion unwrap (fresh DH, caller scratch: what one slot
+// of MixServer's block pass costs) vs BM_OnionUnwrapLayer's allocating form.
+void BM_OnionUnwrapLayerInto(benchmark::State& state) {
   util::Xoshiro256Rng rng(6);
   auto server = crypto::X25519KeyPair::Generate(rng);
   std::vector<crypto::X25519PublicKey> chain = {server.public_key};
   util::Bytes payload = rng.RandomBytes(wire::kExchangeRequestSize);
   auto onion = crypto::OnionWrap(chain, 1, payload, rng);
-  crypto::SecretCache cache;
   util::Bytes inner(onion.data.size() - crypto::kOnionRequestLayerOverhead);
   crypto::AeadKey response_key;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::OnionUnwrapLayerInto(server.secret_key, &cache, 1,
-                                                          onion.data, inner, response_key));
+    benchmark::DoNotOptimize(
+        crypto::OnionUnwrapLayerInto(server.secret_key, 1, onion.data, inner, response_key));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_OnionUnwrapLayerCached);
+BENCHMARK(BM_OnionUnwrapLayerInto);
 
 // Noise wrap through precomputed chain-suffix tables (what ForwardDialing /
 // ForwardConversation use for cover onions) vs BM_OnionWrap3Servers' ladder.
@@ -184,8 +182,9 @@ double TimeUs(size_t iters, Fn&& fn) {
   return elapsed / static_cast<double>(iters) * 1e6;
 }
 
-// The batch-vs-scalar summary the CI trajectory tracks: one JSONL row pinning
-// the three per-onion savings the batched MixServer pass is built on. Printed
+// The batch-vs-scalar summary the CI trajectory tracks: one JSONL row with
+// the per-onion costs the MixServer block pass is built on (comb-table DH,
+// the production unwrap into caller scratch, comb-table noise wrap). Printed
 // (and emitted to $VUVUZELA_BENCH_JSON) on every run, independently of the
 // google-benchmark registry above, so the bench-trajectory job gets it from
 // the same invocation that produces the human-readable table.
@@ -196,8 +195,7 @@ void PrintBatchVsScalarSection() {
   auto server = crypto::X25519KeyPair::Generate(rng);
   auto table = crypto::X25519Precomp::Create(server.public_key);
 
-  constexpr size_t kLadderIters = 200;   // ~55us each
-  constexpr size_t kFastIters = 2000;    // cached / comb paths
+  constexpr size_t kLadderIters = 200;  // ~55us each
 
   double mult_ladder_us = TimeUs(kLadderIters, [&] {
     benchmark::DoNotOptimize(crypto::X25519(client.secret_key, server.public_key));
@@ -209,15 +207,14 @@ void PrintBatchVsScalarSection() {
   std::vector<crypto::X25519PublicKey> chain = {server.public_key};
   util::Bytes payload = rng.RandomBytes(wire::kExchangeRequestSize);
   auto onion = crypto::OnionWrap(chain, 1, payload, rng);
-  crypto::SecretCache cache;
   util::Bytes inner(onion.data.size() - crypto::kOnionRequestLayerOverhead);
   crypto::AeadKey response_key;
   double unwrap_scalar_us = TimeUs(kLadderIters, [&] {
     benchmark::DoNotOptimize(crypto::OnionUnwrapLayer(server.secret_key, 1, onion.data));
   });
-  double unwrap_cached_us = TimeUs(kFastIters, [&] {
-    benchmark::DoNotOptimize(crypto::OnionUnwrapLayerInto(server.secret_key, &cache, 1,
-                                                          onion.data, inner, response_key));
+  double unwrap_into_us = TimeUs(kLadderIters, [&] {
+    benchmark::DoNotOptimize(
+        crypto::OnionUnwrapLayerInto(server.secret_key, 1, onion.data, inner, response_key));
   });
 
   std::vector<crypto::X25519PublicKey> suffix;
@@ -236,8 +233,8 @@ void PrintBatchVsScalarSection() {
   std::printf("\n=== TAB-DOMCOST-BATCH: batch primitives vs scalar reference ===\n");
   std::printf("  X25519 mult:  ladder %8.2f us  comb table %8.2f us  (%.2fx)\n", mult_ladder_us,
               mult_precomp_us, mult_ladder_us / mult_precomp_us);
-  std::printf("  layer unwrap: scalar %8.2f us  cached+scratch %4.2f us  (%.1fx)\n",
-              unwrap_scalar_us, unwrap_cached_us, unwrap_scalar_us / unwrap_cached_us);
+  std::printf("  layer unwrap: scalar %8.2f us  into scratch %6.2f us\n", unwrap_scalar_us,
+              unwrap_into_us);
   std::printf("  noise wrap 3: ladder %8.2f us  precomp %6.2f us  (%.2fx)\n", wrap_ladder_us,
               wrap_precomp_us, wrap_ladder_us / wrap_precomp_us);
 
@@ -246,8 +243,7 @@ void PrintBatchVsScalarSection() {
                    {"mult_precomp_us", mult_precomp_us},
                    {"mult_speedup", mult_ladder_us / mult_precomp_us},
                    {"unwrap_scalar_us", unwrap_scalar_us},
-                   {"unwrap_cached_us", unwrap_cached_us},
-                   {"unwrap_speedup", unwrap_scalar_us / unwrap_cached_us},
+                   {"unwrap_into_us", unwrap_into_us},
                    {"wrap_ladder_us", wrap_ladder_us},
                    {"wrap_precomp_us", wrap_precomp_us},
                    {"wrap_speedup", wrap_ladder_us / wrap_precomp_us}});

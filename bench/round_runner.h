@@ -62,20 +62,18 @@ inline mixnet::Chain MakeBenchChain(size_t servers, double mu, uint64_t seed,
   return mixnet::Chain::Create(config, rng);
 }
 
-// Pre-wraps `rounds` per-round onion batches (round numbers 1..rounds).
-// With a key ring, each user's onions use their static key every round, so
-// the servers' secret caches hit (the steady-state §8.1 shape).
+// Pre-wraps `rounds` per-round onion batches (round numbers 1..rounds), each
+// onion with fresh ephemeral layer keys as a real client wraps it.
 inline std::vector<std::vector<util::Bytes>> MakeConversationBatches(
     uint64_t users, std::span<const crypto::X25519PublicKey> chain_keys, uint64_t rounds,
-    uint64_t seed, const sim::ClientKeyRing* key_ring = nullptr) {
+    uint64_t seed) {
   std::vector<std::vector<util::Bytes>> batches;
   batches.reserve(rounds);
   for (uint64_t round = 1; round <= rounds; ++round) {
     sim::WorkloadConfig workload{.num_users = users,
                                  .pairing_fraction = 1.0,
                                  .seed = seed + round,
-                                 .parallel = true,
-                                 .key_ring = key_ring};
+                                 .parallel = true};
     batches.push_back(sim::GenerateConversationWorkload(workload, chain_keys, round));
   }
   return batches;
@@ -110,9 +108,7 @@ inline MultiRound RunLockStepConversationRounds(uint64_t users, size_t servers, 
                                                 uint64_t rounds, uint64_t seed,
                                                 double collection_window_seconds = 0.0) {
   mixnet::Chain chain = MakeBenchChain(servers, mu, seed);
-  sim::ClientKeyRing key_ring(users, seed);
-  chain.PrimeSecretCaches(key_ring.public_keys());  // key ceremony, untimed
-  auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed, &key_ring);
+  auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed);
 
   MultiRound out;
   out.rounds = rounds;
@@ -181,9 +177,7 @@ inline MultiRound RunPipelinedConversationRounds(uint64_t users, size_t servers,
                                                  uint64_t seed,
                                                  double collection_window_seconds = 0.0) {
   mixnet::Chain chain = MakeBenchChain(servers, mu, seed);
-  sim::ClientKeyRing key_ring(users, seed);
-  chain.PrimeSecretCaches(key_ring.public_keys());  // key ceremony, untimed
-  auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed, &key_ring);
+  auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed);
   engine::RoundScheduler scheduler(chain,
                                    {.max_in_flight = max_in_flight, .record_latencies = true});
   return DrivePipelinedRounds(scheduler, std::move(batches), collection_window_seconds);
@@ -207,9 +201,7 @@ inline MultiRound RunTcpPipelinedConversationRounds(uint64_t users, size_t serve
     return {};
   }
 
-  sim::ClientKeyRing key_ring(users, seed);
-  chain->PrimeSecretCaches(key_ring.public_keys());  // key ceremony, untimed
-  auto batches = MakeConversationBatches(users, chain->public_keys(), rounds, seed, &key_ring);
+  auto batches = MakeConversationBatches(users, chain->public_keys(), rounds, seed);
 
   auto transports = chain->ConnectTransports();
   if (transports.empty()) {

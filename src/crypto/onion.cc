@@ -63,23 +63,15 @@ util::Bytes OnionSealResponse(const AeadKey& key, uint64_t round, util::ByteSpan
   return AeadSeal(key, NonceFromUint64(round, kResponseDomain), /*aad=*/{}, response);
 }
 
-util::ByteSpan OnionContext() { return kOnionContext(); }
-
-bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, SecretCache* cache, uint64_t round,
-                          util::ByteSpan layer, util::MutableByteSpan inner_out,
-                          AeadKey& response_key) {
+bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, uint64_t round, util::ByteSpan layer,
+                          util::MutableByteSpan inner_out, AeadKey& response_key) {
   if (layer.size() < kOnionRequestLayerOverhead) {
     return false;
   }
   X25519PublicKey ephemeral_pk;
   std::memcpy(ephemeral_pk.data(), layer.data(), ephemeral_pk.size());
-  AeadKey key;
-  if (cache != nullptr) {
-    key = cache->Get(server_sk, ephemeral_pk, kOnionContext());
-  } else {
-    X25519SharedSecret shared = X25519(server_sk, ephemeral_pk);
-    key = DeriveBoxKey(shared, kOnionContext());
-  }
+  X25519SharedSecret shared = X25519(server_sk, ephemeral_pk);
+  AeadKey key = DeriveBoxKey(shared, kOnionContext());
   if (!AeadOpenInto(key, NonceFromUint64(round, kRequestDomain), /*aad=*/{},
                     layer.subspan(kX25519KeySize), inner_out)) {
     return false;
@@ -110,30 +102,6 @@ WrappedOnion OnionWrapPrecomp(std::span<const X25519Precomp> server_tables, uint
     util::Bytes layer;
     layer.reserve(kX25519KeySize + sealed.size());
     util::Append(layer, ephemeral.public_key);
-    util::Append(layer, sealed);
-    out.data = std::move(layer);
-  }
-  return out;
-}
-
-WrappedOnion OnionWrapWithKeys(std::span<const X25519PublicKey> server_pks,
-                               std::span<const X25519KeyPair> layer_keys, uint64_t round,
-                               util::ByteSpan payload) {
-  WrappedOnion out;
-  out.layer_keys.resize(server_pks.size());
-  out.data.assign(payload.begin(), payload.end());
-
-  for (size_t idx = server_pks.size(); idx-- > 0;) {
-    const X25519KeyPair& kp = layer_keys[idx];
-    X25519SharedSecret shared = X25519(kp.secret_key, server_pks[idx]);
-    AeadKey key = DeriveBoxKey(shared, kOnionContext());
-    out.layer_keys[idx] = key;
-
-    util::Bytes sealed =
-        AeadSeal(key, NonceFromUint64(round, kRequestDomain), /*aad=*/{}, out.data);
-    util::Bytes layer;
-    layer.reserve(kX25519KeySize + sealed.size());
-    util::Append(layer, kp.public_key);
     util::Append(layer, sealed);
     out.data = std::move(layer);
   }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/crypto/box.h"
-#include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519_precomp.h"
 #include "src/util/bytes.h"
 
@@ -71,25 +70,17 @@ std::optional<util::Bytes> OnionOpenResponse(std::span<const AeadKey> layer_keys
 
 // --- Batch-pass primitives --------------------------------------------------
 //
-// The batched mix pass (MixServer with config.batching) is built on these.
-// All of them are byte-identical to the scalar functions above; the
-// conformance suite (tests/batch_pass_test.cc) pins that equivalence down.
+// MixServer's block pass is built on these. Each is byte-identical to its
+// allocating counterpart above; the conformance suite
+// (tests/batch_pass_test.cc) pins that equivalence down.
 
-// The HKDF context string onion keys are derived under — exposed so a
-// SecretCache can be primed (MixServer::PrimeClientSecrets) with exactly the
-// keys OnionUnwrapLayer would derive.
-util::ByteSpan OnionContext();
-
-// Allocation-free unwrap for block processing. `inner_out` must be exactly
+// Allocation-free unwrap for block processing: a direct DH with the layer's
+// ephemeral key, exactly as OnionUnwrapLayer. `inner_out` must be exactly
 // layer.size() - kOnionRequestLayerOverhead bytes (a slot in the caller's
-// preallocated results block) and must not overlap `layer`. When `cache` is
-// non-null the shared-secret derivation goes through it (one DH per client
-// per key epoch instead of one per onion per round); null means a direct DH,
-// the scalar reference behavior. Returns false on malformed or forged
-// layers, leaving `inner_out` unspecified.
-bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, SecretCache* cache, uint64_t round,
-                          util::ByteSpan layer, util::MutableByteSpan inner_out,
-                          AeadKey& response_key);
+// preallocated results block) and must not overlap `layer`. Returns false on
+// malformed or forged layers, leaving `inner_out` unspecified.
+bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, uint64_t round, util::ByteSpan layer,
+                          util::MutableByteSpan inner_out, AeadKey& response_key);
 
 // Allocation-free response seal: `out` must be exactly response.size() +
 // kOnionResponseLayerOverhead bytes and must not overlap `response`.
@@ -105,21 +96,6 @@ void OnionSealResponseInto(const AeadKey& key, uint64_t round, util::ByteSpan re
 // per cover onion.
 WrappedOnion OnionWrapPrecomp(std::span<const X25519Precomp> server_tables, uint64_t round,
                               util::ByteSpan payload, util::Rng& rng);
-
-// OnionWrap with caller-supplied per-layer key pairs instead of fresh
-// ephemerals — how a client with a static onion identity wraps so that
-// servers' secret caches hit every round. layer_keys[i] is used for
-// server_pks[i]; sizes must match.
-//
-// Nonce-safety contract: the derived (client key, server key) AEAD key is
-// reused across rounds with the round number as nonce, so a given static key
-// pair must wrap at most ONE onion per (round, direction) — exactly the
-// one-request-per-round shape of Vuvuzela's conversation protocol. Wrapping
-// two same-round onions under one static key would reuse a nonce; use fresh
-// ephemerals (plain OnionWrap) for anything outside the one-per-round model.
-WrappedOnion OnionWrapWithKeys(std::span<const X25519PublicKey> server_pks,
-                               std::span<const X25519KeyPair> layer_keys, uint64_t round,
-                               util::ByteSpan payload);
 
 }  // namespace vuvuzela::crypto
 

@@ -250,7 +250,7 @@ class RoundScheduler {
   SchedulerStats stats_;
 
   // Hot-path telemetry in obs::Registry::Global(): onion volume, per-pass
-  // wall time (the crypto-batching push's baseline), and stage throughput.
+  // wall time (the block pass's baseline), and stage throughput.
   // Stage enqueue/pass spans land in obs::TraceJournal::Global().
   obs::Counter* obs_onions_submitted_;
   obs::Counter* obs_stage_onions_;

@@ -128,8 +128,15 @@ Chain::DialingResult Chain::RunDialingRound(uint64_t round, std::vector<util::By
     }
   }
   size_t last = servers_.size() - 1;
+  std::vector<util::Bytes> last_input;
+  if (observer_) {
+    last_input = batch;
+  }
   deaddrop::InvitationTable table = servers_[last]->ProcessDialingLastHop(
       round, std::move(batch), num_drops, &stats.forward[last]);
+  if (observer_) {
+    observer_->OnForwardPass(last, round, last_input, {});
+  }
   stats.forward_seconds = SecondsSince(start);
 
   return DialingResult{std::move(table), std::move(stats)};

@@ -25,7 +25,9 @@ class ChainObserver {
  public:
   virtual ~ChainObserver() = default;
 
-  // Called after server `position` finishes its forward pass.
+  // Called after server `position` finishes its forward pass. The last
+  // server's output is its responses in conversation rounds and empty in
+  // dialing rounds (its invitation table is not a batch).
   virtual void OnForwardPass(size_t position, uint64_t round,
                              const std::vector<util::Bytes>& input,
                              const std::vector<util::Bytes>& output) {
@@ -74,14 +76,6 @@ class Chain {
   size_t size() const { return servers_.size(); }
   const std::vector<crypto::X25519PublicKey>& public_keys() const { return public_keys_; }
   MixServer& server(size_t i) { return *servers_[i]; }
-
-  // Warms every server's shared-secret cache for a static client population
-  // (sim::ClientKeyRing::public_keys()) so the first round pays no DH storm.
-  void PrimeSecretCaches(std::span<const crypto::X25519PublicKey> client_pks) {
-    for (auto& server : servers_) {
-      server->PrimeClientSecrets(client_pks);
-    }
-  }
 
   void set_observer(ChainObserver* observer) { observer_ = observer; }
   ChainObserver* observer() const { return observer_; }

@@ -33,6 +33,21 @@ std::vector<util::ByteSpan> ViewsOf(const std::vector<util::Bytes>& items) {
   return std::vector<util::ByteSpan>(items.begin(), items.end());
 }
 
+// Onions per block: the work-stealing unit of ParallelForBlocks. Blocks are
+// a scheduling unit only; any size yields identical bytes.
+constexpr size_t kPassBlock = 64;
+
+// Runs fn(begin, end) over [0, n): in kPassBlock blocks on the pool, or as
+// one block on the calling thread when the server is not parallel.
+template <typename Fn>
+void ForEachBlock(bool parallel, size_t n, Fn&& fn) {
+  if (parallel) {
+    util::GlobalPool().ParallelForBlocks(n, kPassBlock, fn);
+  } else {
+    fn(0, n);
+  }
+}
+
 }  // namespace
 
 MixServer::MixServer(const MixServerConfig& config, crypto::X25519KeyPair key_pair,
@@ -48,40 +63,24 @@ MixServer::MixServer(const MixServerConfig& config, crypto::X25519KeyPair key_pa
   if (chain_public_keys_.size() != config_.chain_length) {
     throw std::invalid_argument("MixServer: chain key count mismatch");
   }
-  if (config_.batching) {
-    // Comb tables for the downstream servers' static keys: one-time cost per
-    // key ceremony, a ~3x cheaper DH per noise-onion layer every round after.
-    std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
-    suffix_tables_.reserve(suffix.size());
-    for (const crypto::X25519PublicKey& pk : suffix) {
-      std::optional<crypto::X25519Precomp> table = crypto::X25519Precomp::Create(pk);
-      if (!table) {
-        // A non-curve key cannot be lifted; wrap with the ladder instead.
-        suffix_tables_.clear();
-        break;
-      }
-      suffix_tables_.push_back(std::move(*table));
+  // Comb tables for the downstream servers' static keys: one-time cost per
+  // key ceremony, a ~3x cheaper DH per noise-onion layer every round after.
+  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
+  suffix_tables_.reserve(suffix.size());
+  for (const crypto::X25519PublicKey& pk : suffix) {
+    std::optional<crypto::X25519Precomp> table = crypto::X25519Precomp::Create(pk);
+    if (!table) {
+      // A non-curve key cannot be lifted; wrap with the ladder instead.
+      suffix_tables_.clear();
+      break;
     }
+    suffix_tables_.push_back(std::move(*table));
   }
 }
 
 void MixServer::RotateKey(const crypto::X25519KeyPair& key_pair) {
   key_pair_ = key_pair;
   chain_public_keys_[config_.position] = key_pair.public_key;
-  secret_cache_.Invalidate();
-}
-
-void MixServer::PrimeClientSecrets(std::span<const crypto::X25519PublicKey> client_pks) {
-  auto prime_one = [&](size_t i) {
-    secret_cache_.Get(key_pair_.secret_key, client_pks[i], crypto::OnionContext());
-  };
-  if (config_.parallel) {
-    util::GlobalPool().ParallelFor(client_pks.size(), prime_one);
-  } else {
-    for (size_t i = 0; i < client_pks.size(); ++i) {
-      prime_one(i);
-    }
-  }
 }
 
 crypto::ChaChaRng MixServer::RoundRng(uint8_t pass, uint64_t round) const {
@@ -107,6 +106,34 @@ size_t MixServer::ResponseSizeFromNextHop() const {
   return wire::kEnvelopeSize + seals * crypto::kOnionResponseLayerOverhead;
 }
 
+std::vector<util::Bytes> MixServer::WrapNoise(uint64_t round,
+                                              const std::vector<util::Bytes>& payloads,
+                                              util::Rng& rng) const {
+  // Wrap in parallel; each task gets an independent DRBG seeded from the
+  // round's RNG (ChaChaRng is not thread-safe).
+  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
+  std::vector<crypto::ChaCha20Key> seeds(payloads.size());
+  for (auto& seed : seeds) {
+    rng.Fill(seed);
+  }
+  std::vector<util::Bytes> onions(payloads.size());
+  const bool precomp_wrap = suffix_tables_.size() == suffix.size();
+  auto wrap_one = [&](size_t i) {
+    crypto::ChaChaRng task_rng(seeds[i]);
+    onions[i] = precomp_wrap
+                    ? crypto::OnionWrapPrecomp(suffix_tables_, round, payloads[i], task_rng).data
+                    : crypto::OnionWrap(suffix, round, payloads[i], task_rng).data;
+  };
+  if (config_.parallel) {
+    util::GlobalPool().ParallelFor(onions.size(), wrap_one);
+  } else {
+    for (size_t i = 0; i < onions.size(); ++i) {
+      wrap_one(i);
+    }
+  }
+  return onions;
+}
+
 MixServer::UnwrapBatchResult MixServer::UnwrapBatch(uint64_t round,
                                                     std::span<const util::ByteSpan> batch) {
   const size_t n = batch.size();
@@ -114,47 +141,20 @@ MixServer::UnwrapBatchResult MixServer::UnwrapBatch(uint64_t round,
   std::vector<crypto::AeadKey> keys(n);
   std::vector<uint8_t> ok(n, 0);  // uint8_t: distinct indices written concurrently
 
-  if (config_.batching) {
-    // Block path: each worker owns a contiguous run of onions, the output
-    // buffer for each is allocated once at its final size, and shared-secret
-    // derivation goes through the cross-round cache.
-    auto unwrap_block = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        util::ByteSpan layer = batch[i];
-        if (layer.size() < crypto::kOnionRequestLayerOverhead) {
-          continue;
-        }
-        inners[i].resize(layer.size() - crypto::kOnionRequestLayerOverhead);
-        ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, &secret_cache_, round, layer,
-                                             inners[i], keys[i])
-                    ? 1
-                    : 0;
+  // Each worker owns a contiguous run of onions; the output buffer for each
+  // is allocated once at its final size.
+  ForEachBlock(config_.parallel, n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      util::ByteSpan layer = batch[i];
+      if (layer.size() < crypto::kOnionRequestLayerOverhead) {
+        continue;
       }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelForBlocks(n, config_.batch_block, unwrap_block);
-    } else {
-      unwrap_block(0, n);
+      inners[i].resize(layer.size() - crypto::kOnionRequestLayerOverhead);
+      ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, round, layer, inners[i], keys[i])
+                  ? 1
+                  : 0;
     }
-  } else {
-    // Scalar reference path: one DH per onion, no cache, per-index fan-out.
-    auto unwrap_one = [&](size_t i) {
-      std::optional<crypto::UnwrappedLayer> result =
-          crypto::OnionUnwrapLayer(key_pair_.secret_key, round, batch[i]);
-      if (result) {
-        inners[i] = std::move(result->inner);
-        keys[i] = result->response_key;
-        ok[i] = 1;
-      }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelFor(n, unwrap_one);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        unwrap_one(i);
-      }
-    }
-  }
+  });
 
   UnwrapBatchResult result;
   result.inners.reserve(n);
@@ -221,31 +221,9 @@ std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
     noise_payloads.push_back(second.Serialize());
   }
 
-  // Wrap noise in parallel; each task gets an independent DRBG seeded from
-  // the server's RNG (ChaChaRng is not thread-safe).
-  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
-  std::vector<crypto::ChaCha20Key> seeds(noise_payloads.size());
-  for (auto& seed : seeds) {
-    rng.Fill(seed);
-  }
-  std::vector<util::Bytes> noise_onions(noise_payloads.size());
-  const bool precomp_wrap = config_.batching && suffix_tables_.size() == suffix.size();
-  auto wrap_one = [&](size_t i) {
-    crypto::ChaChaRng task_rng(seeds[i]);
-    noise_onions[i] =
-        precomp_wrap
-            ? crypto::OnionWrapPrecomp(suffix_tables_, round, noise_payloads[i], task_rng).data
-            : crypto::OnionWrap(suffix, round, noise_payloads[i], task_rng).data;
-  };
-  if (config_.parallel) {
-    util::GlobalPool().ParallelFor(noise_onions.size(), wrap_one);
-  } else {
-    for (size_t i = 0; i < noise_onions.size(); ++i) {
-      wrap_one(i);
-    }
-  }
+  std::vector<util::Bytes> noise_onions = WrapNoise(round, noise_payloads, rng);
   local.noise_requests_added = noise_onions.size();
-  local.dh_ops += noise_onions.size() * suffix.size();
+  local.dh_ops += noise_onions.size() * ChainSuffix().size();
   state.noise_count = noise_onions.size();
 
   std::vector<util::Bytes> combined = std::move(unwrapped.inners);
@@ -309,33 +287,14 @@ std::vector<util::Bytes> MixServer::BackwardConversation(uint64_t round,
   // Seal each response with the key retained on the forward pass and place
   // it at the position the previous hop expects.
   std::vector<util::Bytes> out(state.input_size);
-  if (config_.batching) {
-    auto seal_block = [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        util::ByteSpan resp = responses[pos_of[j]];
-        util::Bytes& slot = out[state.orig_index[j]];
-        slot.resize(resp.size() + crypto::kOnionResponseLayerOverhead);
-        crypto::OnionSealResponseInto(state.response_keys[j], round, resp, slot);
-      }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelForBlocks(num_valid, config_.batch_block, seal_block);
-    } else {
-      seal_block(0, num_valid);
+  ForEachBlock(config_.parallel, num_valid, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      util::ByteSpan resp = responses[pos_of[j]];
+      util::Bytes& slot = out[state.orig_index[j]];
+      slot.resize(resp.size() + crypto::kOnionResponseLayerOverhead);
+      crypto::OnionSealResponseInto(state.response_keys[j], round, resp, slot);
     }
-  } else {
-    auto seal_one = [&](size_t j) {
-      out[state.orig_index[j]] =
-          crypto::OnionSealResponse(state.response_keys[j], round, responses[pos_of[j]]);
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelFor(num_valid, seal_one);
-    } else {
-      for (size_t j = 0; j < num_valid; ++j) {
-        seal_one(j);
-      }
-    }
-  }
+  });
 
   // Requests this server dropped on the forward pass still owe the previous
   // hop a response slot; synthesize random bytes of the correct size
@@ -412,33 +371,14 @@ MixServer::LastServerResult MixServer::ProcessConversationLastHop(
   result.histogram = outcome.histogram;
   result.messages_exchanged = outcome.messages_exchanged;
   result.responses.resize(batch.size());
-  if (config_.batching) {
-    auto seal_block = [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        util::ByteSpan resp = outcome.results[j];
-        util::Bytes& slot = result.responses[orig_index[j]];
-        slot.resize(resp.size() + crypto::kOnionResponseLayerOverhead);
-        crypto::OnionSealResponseInto(keys[j], round, resp, slot);
-      }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelForBlocks(requests.size(), config_.batch_block, seal_block);
-    } else {
-      seal_block(0, requests.size());
+  ForEachBlock(config_.parallel, requests.size(), [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      util::ByteSpan resp = outcome.results[j];
+      util::Bytes& slot = result.responses[orig_index[j]];
+      slot.resize(resp.size() + crypto::kOnionResponseLayerOverhead);
+      crypto::OnionSealResponseInto(keys[j], round, resp, slot);
     }
-  } else {
-    auto seal_one = [&](size_t j) {
-      result.responses[orig_index[j]] =
-          crypto::OnionSealResponse(keys[j], round, outcome.results[j]);
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelFor(requests.size(), seal_one);
-    } else {
-      for (size_t j = 0; j < requests.size(); ++j) {
-        seal_one(j);
-      }
-    }
-  }
+  });
   crypto::ChaChaRng rng = RoundRng(kRngLastConversation, round);
   size_t response_size = wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead;
   for (auto& slot : result.responses) {
@@ -490,29 +430,9 @@ std::vector<util::Bytes> MixServer::ForwardDialing(uint64_t round,
       noise_payloads.push_back(fake.Serialize());
     }
   }
-  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
-  std::vector<crypto::ChaCha20Key> seeds(noise_payloads.size());
-  for (auto& seed : seeds) {
-    rng.Fill(seed);
-  }
-  std::vector<util::Bytes> noise_onions(noise_payloads.size());
-  const bool precomp_wrap = config_.batching && suffix_tables_.size() == suffix.size();
-  auto wrap_one = [&](size_t i) {
-    crypto::ChaChaRng task_rng(seeds[i]);
-    noise_onions[i] =
-        precomp_wrap
-            ? crypto::OnionWrapPrecomp(suffix_tables_, round, noise_payloads[i], task_rng).data
-            : crypto::OnionWrap(suffix, round, noise_payloads[i], task_rng).data;
-  };
-  if (config_.parallel) {
-    util::GlobalPool().ParallelFor(noise_onions.size(), wrap_one);
-  } else {
-    for (size_t i = 0; i < noise_onions.size(); ++i) {
-      wrap_one(i);
-    }
-  }
+  std::vector<util::Bytes> noise_onions = WrapNoise(round, noise_payloads, rng);
   local.noise_requests_added = noise_onions.size();
-  local.dh_ops += noise_onions.size() * suffix.size();
+  local.dh_ops += noise_onions.size() * ChainSuffix().size();
 
   std::vector<util::Bytes> combined = std::move(unwrapped.inners);
   combined.reserve(combined.size() + noise_onions.size());

@@ -19,23 +19,20 @@
 // it processed before the crash — which is what lets the round engine retry a
 // crashed round and get output byte-identical to an uninterrupted run.
 //
-// Batched hot path: with MixServerConfig::batching (the default), onions are
-// processed in cache-friendly blocks over ThreadPool::ParallelForBlocks with
-// preallocated per-slot output buffers (no per-onion intermediate
-// allocation), per-client shared secrets are cached across rounds in a
-// SecretCache (the round number only enters the AEAD nonce, so a hit cannot
-// change any output byte), and noise onions are wrapped against precomputed
-// comb tables for the chain suffix's static keys. All of it is byte-identical
-// to the scalar reference path (batching = false), which the conformance
-// suite pins down; the determinism contract above is what makes that
-// provable rather than statistical.
+// The pass: onions are unwrapped and sealed in 64-onion blocks over
+// ThreadPool::ParallelForBlocks into preallocated per-slot output buffers
+// (no per-onion intermediate allocation). Every onion's key comes from a
+// direct DH with its fresh ephemeral key, as real traffic requires. Noise
+// onions are wrapped against comb tables precomputed for the chain suffix's
+// static keys, falling back to the ladder if a suffix key cannot be lifted.
+// tests/batch_pass_test.cc pins the pass to golden digests and to a
+// per-onion oracle built from the scalar onion primitives.
 //
 // Threading/ownership: one MixServer runs one pass at a time — callers
 // serialize passes (the hop daemon's connection loop and the chain driver
 // both do). Within a pass the server fans out over util::GlobalPool();
 // per-round state is touched only between fan-outs, on the calling thread.
-// The secret cache is internally synchronized because pool workers hit it
-// concurrently. RotateKey and ExpireRounds must not race a running pass.
+// RotateKey and ExpireRounds must not race a running pass.
 
 #ifndef VUVUZELA_SRC_MIXNET_MIX_SERVER_H_
 #define VUVUZELA_SRC_MIXNET_MIX_SERVER_H_
@@ -47,7 +44,6 @@
 
 #include "src/crypto/drbg.h"
 #include "src/crypto/onion.h"
-#include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519.h"
 #include "src/crypto/x25519_precomp.h"
 #include "src/deaddrop/conversation_table.h"
@@ -76,15 +72,6 @@ struct MixServerConfig {
   // A server under adversarial control may skip mixing; tests use this to
   // model compromise (§4.2 attack scenarios). Honest servers always mix.
   bool mix = true;
-  // Batched hot path: per-client shared-secret cache, block processing with
-  // per-block scratch, and precomputed-table DH for noise wrapping. Output is
-  // byte-identical to the scalar path (tests/batch_pass_test.cc pins it);
-  // `false` selects the original per-onion reference implementation.
-  bool batching = true;
-  // Onions per block on the batched path. Blocks are the work-stealing unit
-  // of ParallelForBlocks and the reuse scope for scratch state; any value
-  // yields identical bytes.
-  size_t batch_block = 64;
 };
 
 // Per-round, per-server counters surfaced to benches (Figures 9-11, §8.2
@@ -183,20 +170,9 @@ class MixServer {
 
   // --- Key lifecycle --------------------------------------------------------
 
-  // Installs a new long-term key pair and invalidates every cached client
-  // secret derived under the old one (a stale entry would fail the AEAD tag
-  // on every onion wrapped for the new key and silently drop the batch).
+  // Installs a new long-term key pair; the next pass unwraps under it.
   // Callers must not rotate concurrently with a running pass.
   void RotateKey(const crypto::X25519KeyPair& key_pair);
-
-  // Warms the shared-secret cache for a known client population (the static
-  // key ceremony) so the first round after startup or rotation pays no DH
-  // storm inside the pass. Optional: misses during a pass derive on demand.
-  void PrimeClientSecrets(std::span<const crypto::X25519PublicKey> client_pks);
-
-  // Cache observability: hits climb once clients present static keys; a
-  // rotation shows up as an epoch bump and a restart of misses.
-  const crypto::SecretCache& secret_cache() const { return secret_cache_; }
 
   // --- Hygiene --------------------------------------------------------------
 
@@ -235,6 +211,10 @@ class MixServer {
 
   std::span<const crypto::X25519PublicKey> ChainSuffix() const;
   size_t ResponseSizeFromNextHop() const;
+  // Onion-wraps cover payloads for the chain suffix (Algorithm 2 step 2),
+  // drawing one DRBG seed per onion from `rng` in order.
+  std::vector<util::Bytes> WrapNoise(uint64_t round, const std::vector<util::Bytes>& payloads,
+                                     util::Rng& rng) const;
   // Derives the per-(round, pass) RNG; `pass` is a domain-separation label so
   // the forward and backward passes of one round never share a stream.
   crypto::ChaChaRng RoundRng(uint8_t pass, uint64_t round) const;
@@ -245,11 +225,9 @@ class MixServer {
   crypto::ChaCha20Key rng_seed_;
   std::unordered_map<uint64_t, RoundState> rounds_;
   deaddrop::ExchangeBackend* exchange_backend_ = nullptr;
-  // Derived-key cache for the batched unwrap path; invalidated by RotateKey.
-  crypto::SecretCache secret_cache_;
   // Comb tables for the chain suffix's public keys (noise-wrap fast path).
-  // Empty when batching is off or any suffix key failed to lift (fall back
-  // to the ladder); otherwise aligned with ChainSuffix().
+  // Empty when any suffix key failed to lift (fall back to the ladder);
+  // otherwise aligned with ChainSuffix().
   std::vector<crypto::X25519Precomp> suffix_tables_;
 };
 

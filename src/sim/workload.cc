@@ -27,40 +27,27 @@ void ForEachUser(uint64_t n, uint64_t seed, bool parallel,
   }
 }
 
-// Wraps one user's onion: static layer keys from the ring when configured,
-// fresh ephemerals otherwise.
-util::Bytes WrapUserOnion(const WorkloadConfig& config,
-                          std::span<const crypto::X25519PublicKey> chain, uint64_t round,
-                          size_t user, util::ByteSpan payload, util::Rng& rng) {
-  if (config.key_ring != nullptr && config.key_ring->size() >= config.num_users) {
-    // Same static key pair at every layer; safe because each user sends one
-    // onion per round (ClientKeyRing's nonce contract).
-    std::vector<crypto::X25519KeyPair> layer_keys(chain.size(), config.key_ring->key(user));
-    return crypto::OnionWrapWithKeys(chain, layer_keys, round, payload).data;
-  }
-  return crypto::OnionWrap(chain, round, payload, rng).data;
+// splitmix64's finalizer: a bijection on 64-bit words.
+uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
+
+// Base of one round's per-user streams, distinct for every round under a
+// fixed (seed, domain). Hashed rather than XOR-ed: with `seed ^ round`, a
+// caller that also varies the seed by round (seed + round, as the fig9
+// drivers do) gets one stream in two rounds, and so repeats every user's
+// ephemeral onion keys and dead drops across them.
+uint64_t RoundStream(uint64_t seed, uint64_t round, uint64_t domain) {
+  return Mix64(Mix64(Mix64(seed) ^ domain) + round);
+}
+
+constexpr uint64_t kConversationDomain = 1;
+constexpr uint64_t kPairDomain = 2;
+constexpr uint64_t kDialingDomain = 3;
 
 }  // namespace
-
-ClientKeyRing::ClientKeyRing(uint64_t num_users, uint64_t seed, bool parallel) {
-  keys_.resize(num_users);
-  auto gen_one = [&](size_t i) {
-    util::Xoshiro256Rng rng(seed * 0xbf58476d1ce4e5b9ULL + i);
-    keys_[i] = crypto::X25519KeyPair::Generate(rng);
-  };
-  if (parallel) {
-    util::GlobalPool().ParallelFor(num_users, gen_one);
-  } else {
-    for (uint64_t i = 0; i < num_users; ++i) {
-      gen_one(i);
-    }
-  }
-  public_keys_.reserve(num_users);
-  for (const auto& kp : keys_) {
-    public_keys_.push_back(kp.public_key);
-  }
-}
 
 std::vector<util::Bytes> GenerateConversationWorkload(
     const WorkloadConfig& config, std::span<const crypto::X25519PublicKey> chain,
@@ -70,20 +57,21 @@ std::vector<util::Bytes> GenerateConversationWorkload(
   paired_users &= ~1ULL;  // pairs need two users
 
   std::vector<util::Bytes> onions(config.num_users);
-  ForEachUser(config.num_users, config.seed ^ round, config.parallel,
+  const uint64_t user_stream = RoundStream(config.seed, round, kConversationDomain);
+  const uint64_t pair_stream = RoundStream(config.seed, round, kPairDomain);
+  ForEachUser(config.num_users, user_stream, config.parallel,
               [&](size_t i, util::Rng& rng) {
                 wire::ExchangeRequest request;
                 if (i < paired_users) {
                   // Users 2k and 2k+1 converse: both derive the pair's drop.
                   uint64_t pair = i / 2;
-                  util::Xoshiro256Rng pair_rng((config.seed ^ round) * 0xd1342543de82ef95ULL +
-                                               pair);
+                  util::Xoshiro256Rng pair_rng(pair_stream * 0xd1342543de82ef95ULL + pair);
                   pair_rng.Fill(request.dead_drop);
                 } else {
                   rng.Fill(request.dead_drop);  // idle: random drop
                 }
                 rng.Fill(request.envelope);  // sealed contents: random-equivalent
-                onions[i] = WrapUserOnion(config, chain, round, i, request.Serialize(), rng);
+                onions[i] = crypto::OnionWrap(chain, round, request.Serialize(), rng).data;
               });
   return onions;
 }
@@ -97,7 +85,8 @@ std::vector<util::Bytes> GenerateDialingWorkload(const WorkloadConfig& config,
       static_cast<double>(config.num_users) * dial_fraction);
 
   std::vector<util::Bytes> onions(config.num_users);
-  ForEachUser(config.num_users, config.seed ^ round ^ 0xdddd, config.parallel,
+  const uint64_t user_stream = RoundStream(config.seed, round, kDialingDomain);
+  ForEachUser(config.num_users, user_stream, config.parallel,
               [&](size_t i, util::Rng& rng) {
                 wire::DialRequest request;
                 if (i < dialers) {
@@ -110,7 +99,7 @@ std::vector<util::Bytes> GenerateDialingWorkload(const WorkloadConfig& config,
                   request.dead_drop_index = dial_config.noop_index();
                 }
                 rng.Fill(request.invitation);
-                onions[i] = WrapUserOnion(config, chain, round, i, request.Serialize(), rng);
+                onions[i] = crypto::OnionWrap(chain, round, request.Serialize(), rng).data;
               });
   return onions;
 }

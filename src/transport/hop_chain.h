@@ -168,17 +168,6 @@ class LoopbackChain {
   // unreachable.
   std::vector<std::unique_ptr<HopTransport>> ConnectTransports(int recv_timeout_ms = 10000) const;
 
-  // Warms every live hop's shared-secret cache for a static client
-  // population (see HopDaemon::PrimeClientSecrets). A killed hop is skipped;
-  // Restart() rebuilds its server with a cold cache, as a real crash would.
-  void PrimeSecretCaches(std::span<const crypto::X25519PublicKey> client_pks) {
-    for (auto& daemon : daemons_) {
-      if (daemon) {
-        daemon->PrimeClientSecrets(client_pks);
-      }
-    }
-  }
-
   // Failure injection: stops hop `position`'s daemon, joins its serve
   // thread, and releases its port. In-flight rounds touching the hop fail.
   void Kill(size_t position);

@@ -95,13 +95,6 @@ class HopDaemon {
   // Non-null iff the daemon exchanges through partition servers.
   ExchangeRouter* exchange_router() const { return exchange_router_.get(); }
 
-  // Warms the hop's shared-secret cache for a static client population.
-  // Safe while the daemon serves (the cache is internally synchronized), but
-  // meant for the idle window before a round sequence starts.
-  void PrimeClientSecrets(std::span<const crypto::X25519PublicKey> client_pks) {
-    server_->PrimeClientSecrets(client_pks);
-  }
-
   // Serves connections until a kShutdown frame arrives or Stop() is called.
   // Connections are served one at a time; a dropped coordinator can
   // reconnect.

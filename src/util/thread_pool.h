@@ -2,8 +2,8 @@
 //
 // The paper's servers spend almost all CPU time on Curve25519 operations, one
 // per request per server (§8.2, "Dominant costs"). A mix server hands each
-// round's batch to `ParallelFor`, which is the same batching structure the Go
-// prototype gets from goroutines across 36 cores.
+// round's batch to `ParallelForBlocks`, the same fan-out the Go prototype
+// gets from goroutines across 36 cores.
 
 #ifndef VUVUZELA_SRC_UTIL_THREAD_POOL_H_
 #define VUVUZELA_SRC_UTIL_THREAD_POOL_H_

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
 #include <set>
 
+#include "src/client/client.h"
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
 #include "src/mixnet/chain.h"
 #include "src/noise/laplace.h"
 #include "src/sim/adversary.h"
+#include "src/sim/workload.h"
 #include "src/util/random.h"
 
 namespace vuvuzela::sim {
@@ -98,6 +102,86 @@ TEST(Adversary, AllRequestsIndistinguishableAtEveryHop) {
     }
     EXPECT_EQ(unique.size(), pass.input.size()) << "duplicate ciphertexts leak structure";
   }
+}
+
+// Records the layer public key (the onion's first 32 bytes) of every onion
+// every server receives, and the first place each key was seen.
+class LayerKeyObserver : public mixnet::ChainObserver {
+ public:
+  void OnForwardPass(size_t position, uint64_t round, const std::vector<util::Bytes>& input,
+                     const std::vector<util::Bytes>& output) override {
+    (void)output;
+    for (const util::Bytes& onion : input) {
+      ASSERT_GE(onion.size(), crypto::kX25519KeySize);
+      util::Bytes key(onion.begin(), onion.begin() + crypto::kX25519KeySize);
+      auto [it, inserted] = first_seen_.emplace(std::move(key), std::make_pair(position, round));
+      EXPECT_TRUE(inserted) << "layer key at position " << position << " round " << round
+                            << " was already seen at position " << it->second.first
+                            << " round " << it->second.second;
+      ++onions_at_[position];
+    }
+  }
+  size_t onions_at(size_t position) const {
+    auto it = onions_at_.find(position);
+    return it == onions_at_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::map<util::Bytes, std::pair<size_t, uint64_t>> first_seen_;
+  std::map<size_t, size_t> onions_at_;
+};
+
+TEST(Adversary, NoLayerKeyRepeatsAcrossOnionsHopsOrRounds) {
+  // A client's onions are unlinkable across rounds and hops only if every
+  // layer of every onion carries a fresh ephemeral key (§4): a server that
+  // saw one layer key twice could link the two onions. Watch every server's
+  // input over three conversation and three dialing rounds fed by the bench
+  // workload generators and by real clients, cover noise included.
+  util::Xoshiro256Rng rng(11);
+  mixnet::Chain chain = mixnet::Chain::Create(DetChainConfig(3, 5.0), rng);
+  LayerKeyObserver observer;
+  chain.set_observer(&observer);
+
+  std::vector<std::unique_ptr<client::VuvuzelaClient>> clients;
+  for (int c = 0; c < 4; ++c) {
+    client::ClientConfig config{.keys = crypto::X25519KeyPair::Generate(rng),
+                                .chain = chain.public_keys(),
+                                .max_conversations = 2};
+    crypto::ChaCha20Key seed;
+    rng.Fill(seed);
+    clients.push_back(std::make_unique<client::VuvuzelaClient>(std::move(config), seed));
+  }
+  clients[0]->Dial(clients[1]->public_key());
+
+  dialing::RoundConfig dial_config{.num_real_drops = 3};
+  for (uint64_t round = 1; round <= 3; ++round) {
+    // A fresh seed per round, as the fig9 drivers in bench/round_runner.h
+    // pass it: the generator must still draw distinct keys every round.
+    WorkloadConfig workload{.num_users = 40, .seed = 42 + round, .parallel = false};
+    std::vector<util::Bytes> onions =
+        GenerateConversationWorkload(workload, chain.public_keys(), round);
+    for (auto& c : clients) {
+      for (util::Bytes& onion : c->PrepareConversationOnions(round)) {
+        onions.push_back(std::move(onion));
+      }
+    }
+    chain.RunConversationRound(round, std::move(onions));
+
+    const uint64_t dial_round = 100 + round;
+    std::vector<util::Bytes> dials = GenerateDialingWorkload(
+        workload, chain.public_keys(), dial_round, dial_config, /*dial_fraction=*/0.05);
+    for (auto& c : clients) {
+      dials.push_back(c->PrepareDialOnion(dial_round, dial_config));
+    }
+    chain.RunDialingRound(dial_round, std::move(dials), dial_config.total_drops());
+  }
+
+  // Each round's 40 + 4 (dialing) or 40 + 8 (conversation) client onions
+  // reached the first server, and downstream servers also saw upstream
+  // servers' noise.
+  EXPECT_EQ(observer.onions_at(0), 3u * (48 + 44));
+  EXPECT_GT(observer.onions_at(1), observer.onions_at(0));
+  EXPECT_GT(observer.onions_at(2), observer.onions_at(1));
 }
 
 TEST(Adversary, HonestServerShufflesCompromisedOnesPreserveOrder) {

@@ -526,10 +526,7 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
   }
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1;  // alternate C/D
-  // 3 conversation + 2 dialing; ending on a conversation round keeps the
-  // coordinator serving while the second dialing round's fetch is in flight
-  // (a fetch racing teardown would be dropped, flaking the count below).
-  config.total_rounds = 5;
+  config.total_rounds = 5;  // 3 conversation + 2 dialing
   config.admission_window_seconds = 0.2;  // closes early once the client contributed
   config.hop_timeout_ms = 2000;
   config.num_clients = 1;
@@ -548,11 +545,16 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
       return;
     }
     bool probed_unknown_round = false;
+    // The last dialing round's ack can reach the client just before the
+    // coordinator's kShutdown, with the fetch replies behind it. The
+    // coordinator keeps serving until its clients hang up, so a client hangs
+    // up only once every fetch it sent has been answered.
+    int fetches_unanswered = 0;
+    bool shutdown_announced = false;
     while (auto frame = conn->RecvFrame()) {
       if (frame->type == net::FrameType::kShutdown) {
-        return;
-      }
-      if (frame->type == net::FrameType::kRoundAnnouncement) {
+        shutdown_announced = true;
+      } else if (frame->type == net::FrameType::kRoundAnnouncement) {
         auto announcement = wire::RoundAnnouncement::Parse(frame->payload);
         if (!announcement) {
           continue;
@@ -568,12 +570,15 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
         // download bucket 0 through the coordinator.
         util::Bytes index(4, 0);
         conn->SendFrame(net::Frame{net::FrameType::kInvitationFetch, frame->round, index});
+        ++fetches_unanswered;
         if (!probed_unknown_round) {
           probed_unknown_round = true;
           conn->SendFrame(
               net::Frame{net::FrameType::kInvitationFetch, frame->round + 999, index});
+          ++fetches_unanswered;
         }
       } else if (frame->type == net::FrameType::kInvitationDrop) {
+        --fetches_unanswered;
         ++buckets_received;
         // Deterministic mu=2 noise guarantees a non-empty bucket of whole
         // invitations.
@@ -581,7 +586,11 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
           ++ragged_buckets;
         }
       } else if (frame->type == net::FrameType::kHopError) {
+        --fetches_unanswered;
         ++error_replies;
+      }
+      if (shutdown_announced && fetches_unanswered == 0) {
+        return;
       }
     }
   });
